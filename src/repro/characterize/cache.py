@@ -34,7 +34,7 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Set
 
@@ -181,23 +181,132 @@ def _payload_checksum(payload: Dict[str, Any]) -> str:
     ).hexdigest()
 
 
-def _quarantine(path: Path, reason: str) -> None:
-    """Move a bad entry to ``<cache>/corrupt/`` and warn about it."""
-    target = path.parent / CORRUPT_SUBDIR / path.name
-    moved = ""
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(path, target)
-        moved = f"; moved to {target}"
-    except OSError:
-        pass    # read-only cache / concurrent quarantine: still warn
-    _note("quarantine")
-    warnings.warn(
-        f"discarding cache entry {path.name}: {reason}{moved} "
-        "(it will be recomputed)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+@dataclass(frozen=True)
+class IntegrityEnvelope:
+    """Checksummed ``{"schema", "sha256", "payload"}`` JSON cache entries.
+
+    The one implementation behind this cache and the lint cache
+    (:mod:`repro.verify.cache`).  Entries failing the integrity check
+    are quarantined to ``<cache>/corrupt/`` with a warning; stores are
+    atomic; an unwritable directory warns once and turns caching off
+    for that directory.  ``label`` names the entries in warnings, and
+    only a ``counted`` envelope feeds the :data:`STATS` counters.
+    """
+
+    schema: int
+    label: str = "cache"
+    counted: bool = True
+    indent: Optional[int] = 2
+
+    def _note(self, event: str, age_s: Optional[float] = None) -> None:
+        if self.counted:
+            _note(event, age_s)
+
+    def quarantine(self, path: Path, reason: str) -> None:
+        """Move a bad entry to ``<cache>/corrupt/`` and warn about it."""
+        target = path.parent / CORRUPT_SUBDIR / path.name
+        moved = ""
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(path, target)
+            moved = f"; moved to {target}"
+        except OSError:
+            pass    # read-only cache / concurrent quarantine: still warn
+        self._note("quarantine")
+        warnings.warn(
+            f"discarding {self.label} entry {path.name}: {reason}{moved} "
+            "(it will be recomputed)",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
+    def load(self, cache_dir: Optional[Path],
+             key: str) -> Optional[Dict[str, Any]]:
+        """The intact payload stored under ``key``, or None."""
+        if cache_dir is None:
+            return None
+        path = Path(cache_dir) / f"{key}.json"
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            self._note("miss")
+            return None
+        except OSError as err:
+            warnings.warn(f"cannot read {self.label} entry {path}: {err}",
+                          RuntimeWarning, stacklevel=3)
+            self._note("miss")
+            return None
+        age_s = _entry_age_s(path) if self.counted else None
+        payload = self._unwrap(path, text)
+        if payload is None:
+            self._note("miss")
+        else:
+            self._note("hit", age_s)
+        return payload
+
+    def _unwrap(self, path: Path, text: str) -> Optional[Dict[str, Any]]:
+        """The envelope's payload; quarantines the entry if it is bad."""
+        try:
+            envelope = json.loads(text)
+        except json.JSONDecodeError as err:
+            self.quarantine(path, f"unparseable JSON ({err})")
+            return None
+        if not isinstance(envelope, dict) or "payload" not in envelope:
+            self.quarantine(path, "not an integrity envelope")
+            return None
+        schema = envelope.get("schema")
+        if schema != self.schema:
+            self.quarantine(path, f"schema {schema!r} != {self.schema}")
+            return None
+        payload = envelope["payload"]
+        expected = envelope.get("sha256")
+        if not isinstance(payload, dict) or not isinstance(expected, str):
+            self.quarantine(path, "malformed envelope fields")
+            return None
+        actual = _payload_checksum(payload)
+        if actual != expected:
+            self.quarantine(path, f"checksum mismatch (stored "
+                                  f"{expected[:12]}..., computed "
+                                  f"{actual[:12]}...)")
+            return None
+        return payload
+
+    def store(self, cache_dir: Optional[Path], key: str,
+              payload: Dict[str, Any]) -> None:
+        """Persist ``payload`` under ``key``; never raises on I/O."""
+        if cache_dir is None:
+            return
+        directory = Path(cache_dir)
+        if str(directory) in _UNWRITABLE:
+            return
+        envelope = json.dumps(
+            {"schema": self.schema,
+             "sha256": _payload_checksum(payload),
+             "payload": payload},
+            indent=self.indent, sort_keys=True,
+        )
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(directory / f"{key}.json", envelope)
+        except OSError as err:
+            self._note("store_failure")
+            # Deliberate module-state write on a task-reachable path: the
+            # warn-once set only gates *warning noise*, never results — a
+            # task rerun without it produces identical payloads, louder.
+            _UNWRITABLE.add(str(directory))  # lint: skip=RV601
+            warnings.warn(
+                f"{self.label} directory {directory} is not writable "
+                f"({err}); continuing with caching disabled for this "
+                "directory",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        else:
+            self._note("store")
+
+
+#: The characterisation cache's entries.
+_ENVELOPE = IntegrityEnvelope(CACHE_SCHEMA_VERSION)
 
 
 def entry_age_s(cache_dir: Optional[Path], key: str) -> Optional[float]:
@@ -221,49 +330,7 @@ def load_payload(cache_dir: Optional[Path],
     age) or one ``miss``; quarantines additionally count as
     ``quarantine``.
     """
-    if cache_dir is None:
-        return None
-    path = Path(cache_dir) / f"{key}.json"
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        _note("miss")
-        return None
-    except OSError as err:
-        warnings.warn(f"cannot read cache entry {path}: {err}",
-                      RuntimeWarning, stacklevel=2)
-        _note("miss")
-        return None
-    age_s = _entry_age_s(path)
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as err:
-        _quarantine(path, f"unparseable JSON ({err})")
-        _note("miss")
-        return None
-    if not isinstance(envelope, dict) or "payload" not in envelope:
-        _quarantine(path, "not an integrity envelope (pre-schema-5 entry?)")
-        _note("miss")
-        return None
-    schema = envelope.get("schema")
-    if schema != CACHE_SCHEMA_VERSION:
-        _quarantine(path, f"schema {schema!r} != {CACHE_SCHEMA_VERSION}")
-        _note("miss")
-        return None
-    payload = envelope["payload"]
-    expected = envelope.get("sha256")
-    if not isinstance(payload, dict) or not isinstance(expected, str):
-        _quarantine(path, "malformed envelope fields")
-        _note("miss")
-        return None
-    actual = _payload_checksum(payload)
-    if actual != expected:
-        _quarantine(path, f"checksum mismatch (stored {expected[:12]}..., "
-                          f"computed {actual[:12]}...)")
-        _note("miss")
-        return None
-    _note("hit", age_s)
-    return payload
+    return _ENVELOPE.load(cache_dir, key)
 
 
 def reject_payload(cache_dir: Optional[Path], key: str,
@@ -277,7 +344,7 @@ def reject_payload(cache_dir: Optional[Path], key: str,
     """
     if cache_dir is None:
         return
-    _quarantine(Path(cache_dir) / f"{key}.json", reason)
+    _ENVELOPE.quarantine(Path(cache_dir) / f"{key}.json", reason)
 
 
 def load(cache_dir: Optional[Path], key: str) -> Optional[CellCharacterization]:
@@ -297,22 +364,6 @@ def load(cache_dir: Optional[Path], key: str) -> Optional[CellCharacterization]:
         return None
 
 
-def _warn_unwritable(directory: Path, err: OSError) -> None:
-    marker = str(directory)
-    if marker in _UNWRITABLE:
-        return
-    # Deliberate module-state write on a task-reachable path: the
-    # warn-once set only gates *warning noise*, never results — a task
-    # rerun without it produces identical payloads, just louder.
-    _UNWRITABLE.add(marker)  # lint: skip=RV601
-    warnings.warn(
-        f"cache directory {directory} is not writable ({err}); "
-        "continuing with caching disabled for this directory",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def store_payload(cache_dir: Optional[Path], key: str,
                   payload: Dict[str, Any]) -> None:
     """Persist a payload dict inside the integrity envelope.
@@ -326,26 +377,7 @@ def store_payload(cache_dir: Optional[Path], key: str,
     sweep) warns once and degrades to cache-off instead of raising —
     losing the cache must never lose the run.
     """
-    if cache_dir is None:
-        return
-    directory = Path(cache_dir)
-    if str(directory) in _UNWRITABLE:
-        return
-    envelope = json.dumps(
-        {"schema": CACHE_SCHEMA_VERSION,
-         "sha256": _payload_checksum(payload),
-         "payload": payload},
-        indent=2, sort_keys=True,
-    )
-    path = directory / f"{key}.json"
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, envelope)
-    except OSError as err:
-        _note("store_failure")
-        _warn_unwritable(directory, err)
-    else:
-        _note("store")
+    _ENVELOPE.store(cache_dir, key, payload)
 
 
 def store(cache_dir: Optional[Path], key: str,

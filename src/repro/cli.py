@@ -414,7 +414,7 @@ def _cmd_lint_source(args) -> int:
         task_refs = []
     cache_dir = None if args.no_cache else default_lint_cache_dir()
     report = verify_source(paths, config=_lint_config(args),
-                           cache_dir=cache_dir, jobs=args.jobs,
+                           cache_dir=cache_dir,
                            extra_task_refs=task_refs)
     report, short_circuit = _apply_lint_baseline(args, report)
     if short_circuit is not None:
@@ -460,7 +460,7 @@ def _cmd_fix(args) -> int:
             return 2
     cache_dir = None if args.no_cache else default_lint_cache_dir()
     report = verify_source(paths, config=_lint_config(args),
-                           cache_dir=cache_dir, jobs=args.jobs)
+                           cache_dir=cache_dir)
     report, short_circuit = _apply_lint_baseline(args, report)
     if short_circuit is not None:
         return short_circuit
@@ -598,10 +598,9 @@ def _diagnose_demo() -> int:
     c.add(FinFET("pd2", "qb", "q", "0", NFET_20NM_HP))
     opts = OperatingPointOptions(recovery=RecoveryOptions(
         damping_factors=(0.5,), damping_iteration_boost=1,
+        gmin_steps=(), source_steps=(),
         pseudo_transient=False, source_ramp=False))
     opts.newton.max_iterations = 2
-    opts.gmin_steps = ()
-    opts.source_steps = ()
     print("demo: solving a cross-coupled latch with a 2-iteration Newton "
           "budget and the ladder mostly disabled...\n")
     try:
@@ -675,77 +674,38 @@ def _cmd_campaign(args) -> int:
     return 1 if result.quarantined else 0
 
 
-def _cmd_chaos(args) -> int:
-    from .recovery import dump_failure
-    from .recovery.faults import chaos_operating_points, chaos_store_transient
+def _chaos_suite(args) -> dict:
+    """Run the suite the ``repro chaos`` flags select; one report shape."""
+    import tempfile
 
-    if args.serve:
-        return _chaos_serve(args)
-    if args.executor:
-        return _chaos_executor(args)
-    if args.crashpoints:
-        return _chaos_crashpoints(args)
+    from .recovery import faults
+
     if args.transient:
-        report = chaos_store_transient(n_faults=args.faults, seed=args.seed)
-    else:
-        report = chaos_operating_points(target=args.target,
-                                        n_faults=args.faults,
-                                        seed=args.seed)
-    print(report.render())
-    if args.json:
-        dump_failure(report.to_dict(), args.json)
-        print(f"\nreport written to {args.json}")
-    counts = report.counts()
-    unhandled = counts.get("error", 0)
-    return 1 if unhandled else 0
+        return faults.chaos_store_transient(n_faults=args.faults,
+                                            seed=args.seed)
+    if not (args.executor or args.serve or args.crashpoints):
+        return faults.chaos_operating_points(target=args.target,
+                                             n_faults=args.faults,
+                                             seed=args.seed)
+    scratch = args.scratch or tempfile.mkdtemp(prefix="repro-chaos-")
+    if args.executor:
+        return faults.chaos_executor(
+            scratch, n_healthy=args.faults, seed=args.seed,
+            workers=2 if args.workers is None else args.workers,
+            progress=print)
+    if args.serve:
+        from .serve.chaos import chaos_serve
+        return chaos_serve(scratch, n_clients=args.clients, seed=args.seed,
+                           workers=args.workers or 0, progress=print)
+    from .verify.crashcheck import run_crashpoints
+    return run_crashpoints(scratch, progress=print)
 
 
-def _chaos_crashpoints(args) -> int:
-    """``repro chaos --crashpoints``: kill writers at effect boundaries."""
-    from .recovery import dump_failure
-    from .verify.crashcheck import render_crashpoints, run_crashpoints
+def _cmd_chaos(args) -> int:
+    from .recovery import dump_failure, render_chaos
 
-    report = run_crashpoints(args.scratch, progress=print)
-    print(render_crashpoints(report))
-    if args.json:
-        dump_failure(report, args.json)
-        print(f"\nreport written to {args.json}")
-    return 0 if report["ok"] else 1
-
-
-def _chaos_serve(args) -> int:
-    """``repro chaos --serve``: attack the serving layer."""
-    import tempfile
-
-    from .recovery import dump_failure
-    from .serve.chaos import chaos_serve, render_serve_chaos
-
-    scratch = args.scratch or tempfile.mkdtemp(prefix="repro-serve-chaos-")
-    workers = 0 if args.workers is None else args.workers
-    report = chaos_serve(scratch, n_clients=args.clients,
-                         seed=args.seed, workers=workers,
-                         progress=print)
-    print()
-    print(render_serve_chaos(report))
-    if args.json:
-        dump_failure(report, args.json)
-        print(f"\nreport written to {args.json}")
-    return 0 if report["ok"] else 1
-
-
-def _chaos_executor(args) -> int:
-    """``repro chaos --executor``: fault-inject the campaign engine."""
-    import tempfile
-
-    from .recovery import dump_failure
-    from .recovery.faults import chaos_executor, render_exec_chaos
-
-    scratch = args.scratch or tempfile.mkdtemp(prefix="repro-exec-chaos-")
-    workers = 2 if args.workers is None else args.workers
-    report = chaos_executor(scratch, n_healthy=args.faults,
-                            workers=workers, seed=args.seed,
-                            progress=print)
-    print(render_exec_chaos(report))
+    report = _chaos_suite(args)
+    print(render_chaos(report))
     if args.json:
         dump_failure(report, args.json)
         print(f"\nreport written to {args.json}")
@@ -947,8 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the file in place (never adds entries)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the incremental result cache")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="parser worker threads (default: CPU count)")
 
     p = sub.add_parser("fix",
                        help="apply mechanical codemods for RV702/"
@@ -978,8 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--apply (not recommended)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the incremental result cache")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="parser worker threads (default: CPU count)")
 
     p = sub.add_parser("equiv",
                        help="solver-equivalence gate: golden corpus + "
@@ -1009,36 +965,38 @@ def build_parser() -> argparse.ArgumentParser:
                         "its forensics live")
 
     p = sub.add_parser("chaos",
-                       help="fault-injection stress run on a cell deck")
+                       help="fault-injection suites; every suite writes "
+                            "one chaos report shape")
     p.add_argument("--target", choices=("nv", "6t", "nvff"), default="nv")
     p.add_argument("--faults", type=int, default=20,
                    help="number of faults to inject (default 20)")
     p.add_argument("--seed", type=int, default=2015)
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also dump the chaos report as JSON")
-    p.add_argument("--transient", action="store_true",
-                   help="run shortened store transients instead of DC "
-                        "operating points (slower; NV only)")
-    p.add_argument("--executor", action="store_true",
-                   help="fault-inject the campaign engine itself "
-                        "(worker crash/hang/slow/flaky faults) instead "
-                        "of the solver")
-    p.add_argument("--crashpoints", action="store_true",
-                   help="kill child writers at each atomic-write "
-                        "protocol boundary and assert reader-side "
-                        "recovery (RV900/RV901 cross-validation)")
-    p.add_argument("--serve", action="store_true",
-                   help="chaos-test the serving layer: coalescing, "
-                        "storm, shedding, breaker and drain phases "
-                        "against an in-process server")
+    suite = p.add_mutually_exclusive_group()
+    suite.add_argument("--transient", action="store_true",
+                       help="run shortened store transients instead of "
+                            "DC operating points (slower; NV only)")
+    suite.add_argument("--executor", action="store_true",
+                       help="fault-inject the campaign engine itself "
+                            "(worker crash/hang/slow/flaky faults) "
+                            "instead of the solver")
+    suite.add_argument("--crashpoints", action="store_true",
+                       help="kill child writers at each atomic-write "
+                            "protocol boundary and assert reader-side "
+                            "recovery (RV900/RV901 cross-validation)")
+    suite.add_argument("--serve", action="store_true",
+                       help="chaos-test the serving layer: coalescing, "
+                            "storm, shedding, breaker and drain phases "
+                            "against an in-process server")
     p.add_argument("--clients", type=int, default=24,
                    help="concurrent clients for --serve (default 24)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default 2 for --executor, "
                         "0 = inline for --serve)")
     p.add_argument("--scratch", default=None, metavar="DIR",
-                   help="scratch directory for --executor/--serve "
-                        "state (default: a fresh temp dir)")
+                   help="scratch directory for --executor/--serve/"
+                        "--crashpoints state (default: a fresh temp dir)")
 
     p = sub.add_parser("serve",
                        help="run the characterisation HTTP service "

@@ -10,7 +10,7 @@ The resilience layer around :mod:`repro.analysis`:
 * :mod:`repro.recovery.forensics` — renders and persists the structured
   failure context every :class:`~repro.errors.ConvergenceError` /
   :class:`~repro.errors.TimestepError` now carries (``python -m repro
-  diagnose``).
+  diagnose``), and the one report shape of every ``repro chaos`` suite.
 * :mod:`repro.recovery.partial` — :class:`SkipRecord` partial-result
   semantics for the sweep and characterisation drivers: failed points
   are annotated, not fatal.
@@ -28,7 +28,12 @@ from .ladder import (
     recover_dc,
     recover_transient_step,
 )
-from .forensics import dump_failure, load_failure, render_failure
+from .forensics import (
+    dump_failure,
+    load_failure,
+    render_chaos,
+    render_failure,
+)
 from .partial import SkipRecord, run_point, skip_payload
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "recover_transient_step",
     "dump_failure",
     "load_failure",
+    "render_chaos",
     "render_failure",
     "SkipRecord",
     "run_point",

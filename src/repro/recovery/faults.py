@@ -16,15 +16,16 @@ variation models) break them:
 
 :func:`chaos_operating_points` is the chaos mode used by the stress
 tests and the ``python -m repro chaos`` CLI: every injected fault must
-either converge (possibly via a ladder rung) or produce a structured
-:class:`~repro.recovery.partial.SkipRecord` — never an unhandled
-exception, never a silent abort of the remaining points.
+either converge (possibly via a ladder rung) or end as a structured
+skip — never an unhandled exception, never a silent abort of the
+remaining points.  Each suite here returns the one
+:func:`~repro.recovery.forensics.chaos_report` shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from ..circuit import Resistor
 from ..devices.finfet import FinFET
 from ..devices.mtj import MTJ
 from ..errors import AnalysisError
-from .partial import SkipRecord
+from .forensics import chaos_report, chaos_row
 
 #: All fault kinds the sampler draws from.
 FAULT_KINDS = ("vth_shift", "device_open", "mtj_drift", "node_short",
@@ -69,11 +70,6 @@ class FaultSpec:
         if self.kind == "bad_ic":
             return f"ic[{self.target}] corrupted to {self.magnitude:.2f} V"
         return f"{self.kind} on {self.target}"
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "target": self.target,
-                "magnitude": self.magnitude, "aux": self.aux,
-                "description": self.describe()}
 
 
 def _fets(circuit) -> List[FinFET]:
@@ -191,53 +187,22 @@ def inject_fault(circuit, fault: FaultSpec) -> Dict[str, float]:
 # chaos driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChaosRecord:
-    """Outcome of one injected fault."""
+def _solver_row(fault: FaultSpec, rung: Optional[str],
+                err: Optional[AnalysisError]) -> dict:
+    """Audit one faulted solve.
 
-    fault: FaultSpec
-    #: "converged" (no rung fired), "recovered" (a ladder rung fired) or
-    #: "skipped" (ladder exhausted; see ``skip``).
-    outcome: str
-    rung: Optional[str] = None
-    skip: Optional[SkipRecord] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "fault": self.fault.to_dict(),
-            "outcome": self.outcome,
-            "rung": self.rung,
-            "skip": self.skip.to_dict() if self.skip else None,
-        }
-
-
-@dataclass
-class ChaosReport:
-    """All records of one chaos run plus summary accounting."""
-
-    target: str
-    records: List[ChaosRecord] = field(default_factory=list)
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for record in self.records:
-            out[record.outcome] = out.get(record.outcome, 0) + 1
-        return out
-
-    @property
-    def skipped(self) -> List[ChaosRecord]:
-        return [r for r in self.records if r.outcome == "skipped"]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "chaos_report",
-            "target": self.target,
-            "records": [r.to_dict() for r in self.records],
-        }
-
-    def render(self) -> str:
-        from .forensics import render_failure
-        return render_failure(self.to_dict())
+    Every structured outcome passes: a clean solve, a rescue by a ladder
+    rung, or an analysis error kept as a skip.  Anything else escapes
+    as an exception and aborts the suite.
+    """
+    if err is not None:
+        actual, detail = "skipped", f"{type(err).__name__}: {err}"
+    elif rung is not None:
+        actual, detail = "recovered", f"rung: {rung}"
+    else:
+        actual, detail = "converged", ""
+    return chaos_row(f"{fault.kind}: {fault.describe()}",
+                     "converged|recovered|skipped", actual, True, detail)
 
 
 def _chaos_testbench(target: str, cond=None, domain=None):
@@ -266,24 +231,23 @@ def chaos_operating_points(
     cond=None,
     domain=None,
     kinds: Sequence[str] = FAULT_KINDS,
-) -> ChaosReport:
+) -> dict:
     """Inject ``n_faults`` faults into fresh decks and solve each one.
 
     For the cell targets (``"nv"``, ``"6t"``) every faulted deck is
     solved in the standby mode and — NV only — the H-store mode, the two
     DC corners the Fig. 3–4 sweeps hammer.  Each fault yields exactly one
-    :class:`ChaosRecord`; analysis failures become skip records, so the
-    loop never aborts early and the report always holds ``n_faults``
-    entries.
+    row of a :func:`~repro.recovery.forensics.chaos_report`; analysis
+    failures become ``skipped`` rows, so the loop never aborts early and
+    the report always holds ``n_faults`` rows.
     """
     from ..analysis import operating_point
     from ..devices.mtj import MTJState
     from ..pg.modes import Mode
 
     rng = np.random.default_rng(seed)
-    report = ChaosReport(target=target)
-
-    for index in range(n_faults):
+    rows = []
+    for _ in range(n_faults):
         bench = _chaos_testbench(target, cond, domain)
         is_cell = target in ("nv", "6t")
         circuit = bench.circuit if is_cell else bench
@@ -291,44 +255,26 @@ def chaos_operating_points(
         ic_override = inject_fault(circuit, fault)
 
         rung: Optional[str] = None
-        skip: Optional[SkipRecord] = None
-        if is_cell:
-            modes = [Mode.STANDBY] + ([Mode.STORE_H] if target == "nv"
-                                      else [])
-            for mode in modes:
+        err: Optional[AnalysisError] = None
+        modes = ([Mode.STANDBY] + ([Mode.STORE_H] if target == "nv" else [])
+                 if is_cell else [None])
+        for mode in modes:
+            ic = None
+            if mode is not None:
                 bench.apply_mode(mode)
-                if target == "nv" and mode is Mode.STORE_H:
+                if mode is Mode.STORE_H:
                     bench.nv_cell.set_mtj_states(
                         circuit, MTJState.PARALLEL, MTJState.ANTIPARALLEL)
                 ic = bench.initial_conditions(True)
                 ic.update(ic_override)
-                try:
-                    sol = operating_point(circuit, ic=ic)
-                except AnalysisError as err:
-                    skip = SkipRecord.from_error(
-                        err, index=index, label=fault.describe(),
-                        stage=f"chaos:{target}:{mode.name.lower()}",
-                        fault=fault.to_dict())
-                    break
-                rung = getattr(sol, "recovery_rung", None) or rung
-        else:
             try:
-                sol = operating_point(circuit)
-                rung = getattr(sol, "recovery_rung", None)
-            except AnalysisError as err:
-                skip = SkipRecord.from_error(
-                    err, index=index, label=fault.describe(),
-                    stage=f"chaos:{target}", fault=fault.to_dict())
-
-        if skip is not None:
-            outcome = "skipped"
-        elif rung is not None:
-            outcome = "recovered"
-        else:
-            outcome = "converged"
-        report.records.append(ChaosRecord(fault=fault, outcome=outcome,
-                                          rung=rung, skip=skip))
-    return report
+                sol = operating_point(circuit, ic=ic)
+            except AnalysisError as exc:
+                err = exc
+                break
+            rung = getattr(sol, "recovery_rung", None) or rung
+        rows.append(_solver_row(fault, rung, err))
+    return chaos_report(f"dc:{target}", seed, n_faults, len(rows), rows)
 
 
 def chaos_store_transient(
@@ -337,7 +283,7 @@ def chaos_store_transient(
     cond=None,
     domain=None,
     kinds: Sequence[str] = FAULT_KINDS,
-) -> ChaosReport:
+) -> dict:
     """Transient chaos: a shortened two-step store on faulted NV decks.
 
     Heavier than :func:`chaos_operating_points` (each fault costs a
@@ -346,15 +292,13 @@ def chaos_store_transient(
     """
     from ..analysis import transient
     from ..analysis.transient import TransientOptions
-    from ..errors import AnalysisError as _AnalysisError
     from ..pg.modes import Mode, OperatingConditions
     from ..pg.scheduler import Schedule, ScheduleStep
 
     cond = cond or OperatingConditions()
     rng = np.random.default_rng(seed)
-    report = ChaosReport(target="nv:store-transient")
-
-    for index in range(n_faults):
+    rows = []
+    for _ in range(n_faults):
         tb = _chaos_testbench("nv", cond, domain)
         fault = sample_fault(tb.circuit, rng, kinds)
         ic_override = inject_fault(tb.circuit, fault)
@@ -371,22 +315,16 @@ def chaos_store_transient(
         ic.update(ic_override)
 
         rung: Optional[str] = None
-        skip: Optional[SkipRecord] = None
+        err: Optional[AnalysisError] = None
         try:
             result = transient(tb.circuit, schedule.total_duration, ic=ic,
                                options=TransientOptions(dt_initial=20e-12))
             if result.recoveries:
                 rung = result.recoveries[-1]["rung"]
-        except _AnalysisError as err:
-            skip = SkipRecord.from_error(
-                err, index=index, label=fault.describe(),
-                stage="chaos:nv:store-transient", fault=fault.to_dict())
-
-        outcome = ("skipped" if skip is not None
-                   else "recovered" if rung is not None else "converged")
-        report.records.append(ChaosRecord(fault=fault, outcome=outcome,
-                                          rung=rung, skip=skip))
-    return report
+        except AnalysisError as exc:
+            err = exc
+        rows.append(_solver_row(fault, rung, err))
+    return chaos_report("transient:nv", seed, n_faults, len(rows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +393,9 @@ def chaos_executor(scratch, n_healthy: int = 4, workers: int = 2,
 
     Every injected fault must land in exactly the terminal state of
     :data:`EXEC_FAULT_EXPECTED` — N tasks in, N classified outcomes out,
-    no unhandled exception, no lost task.  Returns a JSON-able report
-    (``kind="exec_chaos_report"``) listing each task's expected vs
-    actual state and an overall ``ok`` verdict.
+    no unhandled exception, no lost task.  Returns a
+    :func:`~repro.recovery.forensics.chaos_report` with one row per
+    task, its expected vs actual terminal state and its attempt count.
     """
     from ..exec import CampaignOptions, run_campaign
 
@@ -475,55 +413,16 @@ def chaos_executor(scratch, n_healthy: int = 4, workers: int = 2,
     result = run_campaign(campaign, journal=journal, options=options)
 
     rows = []
-    ok = True
     for task in campaign.tasks:
         fault = task.params.get("fault")
         expected = EXEC_FAULT_EXPECTED.get(fault, "completed")
         outcome = result.outcome(task.task_id)
         actual = outcome.status if outcome is not None else "missing"
+        attempts = outcome.attempts if outcome is not None else 0
         row_ok = actual == expected
-        if fault == "flaky_crash" and row_ok:
-            row_ok = outcome.attempts >= 2   # must have actually retried
-        rows.append({
-            "label": task.label,
-            "fault": fault,
-            "expected": expected,
-            "actual": actual,
-            "attempts": outcome.attempts if outcome else 0,
-            "ok": row_ok,
-        })
-        ok = ok and row_ok
-    n_in = len(campaign.tasks)
-    n_out = len(result.outcomes)
-    return {
-        "kind": "exec_chaos_report",
-        "n_in": n_in,
-        "n_out": n_out,
-        "counts": result.counts(),
-        "retries": result.retries,
-        "ok": ok and n_in == n_out,
-        "rows": rows,
-    }
-
-
-def render_exec_chaos(report: dict) -> str:
-    """Human-readable executor chaos summary."""
-    lines = [
-        f"executor chaos: {report['n_in']} tasks in, "
-        f"{report['n_out']} outcomes out — "
-        + ("PASS" if report["ok"] else "FAIL")
-    ]
-    counts = report["counts"]
-    lines.append(
-        f"  {counts.get('completed', 0)} completed, "
-        f"{counts.get('skipped', 0)} skipped, "
-        f"{counts.get('quarantined', 0)} quarantined, "
-        f"{report['retries']} retried attempt(s)"
-    )
-    for row in report["rows"]:
-        mark = "ok " if row["ok"] else "BAD"
-        lines.append(
-            f"  [{mark}] {row['label']}: expected {row['expected']}, "
-            f"got {row['actual']} ({row['attempts']} attempt(s))"
-        )
-    return "\n".join(lines)
+        if fault == "flaky_crash":
+            row_ok = row_ok and attempts >= 2   # must have actually retried
+        rows.append(chaos_row(task.label, expected, actual, row_ok,
+                              f"{attempts} attempt(s)"))
+    return chaos_report("executor", seed, len(campaign.tasks),
+                        len(result.outcomes), rows)

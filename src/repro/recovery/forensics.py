@@ -6,14 +6,16 @@ The solver attaches structured context to every
 time point, dt history, ladder trace).  This module turns those payloads
 — and the :class:`~repro.recovery.partial.SkipRecord` lists produced by
 partial-result sweeps — into human-readable reports, and persists them
-as JSON for the ``python -m repro diagnose`` CLI.
+as JSON for the ``python -m repro diagnose`` CLI.  It also owns the one
+report shape every ``python -m repro chaos`` suite returns
+(:func:`chaos_report`) and its renderer (:func:`render_chaos`).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..errors import ConvergenceError, StampError, TimestepError
 from ..units import format_eng
@@ -144,27 +146,47 @@ def _render_skip_records(payload: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def _render_chaos(payload: Dict[str, Any]) -> List[str]:
-    records = payload.get("records") or []
-    lines = [f"chaos report: {len(records)} injected fault(s) on "
-             f"{payload.get('target', '?')}"]
+def chaos_row(name: str, expected: str, actual: str, ok: bool,
+              detail: str = "") -> Dict[str, Any]:
+    """One audited fault of a ``repro chaos`` suite."""
+    return {"name": name, "expected": expected, "actual": actual,
+            "ok": bool(ok), "detail": detail}
+
+
+def chaos_report(suite: str, seed: Optional[int], n_in: int, n_out: int,
+                 rows: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The one report shape every ``repro chaos`` suite returns.
+
+    ``n_in`` counts the faults (tasks, requests, scenarios) injected and
+    ``n_out`` the classified outcomes that came back; the suite passes
+    only when nothing was lost and every row met its expectation.
+    """
+    return {"kind": "chaos_report", "suite": suite, "seed": seed,
+            "n_in": n_in, "n_out": n_out,
+            "ok": n_in == n_out and all(row["ok"] for row in rows),
+            "rows": rows}
+
+
+def render_chaos(report: Dict[str, Any]) -> str:
+    """Human-readable chaos report (``repro chaos`` and ``diagnose``)."""
+    rows = report.get("rows") or []
+    verdict = "PASS" if report.get("ok") else "FAIL"
+    lines = [f"chaos report: {report.get('suite', '?')} "
+             f"(seed {report.get('seed')}): {report.get('n_in')} in, "
+             f"{report.get('n_out')} out — {verdict}"]
     counts: Dict[str, int] = {}
-    for record in records:
-        counts[record.get("outcome", "?")] = \
-            counts.get(record.get("outcome", "?"), 0) + 1
-        fault = record.get("fault") or {}
-        rung = record.get("rung")
-        line = (f"  {fault.get('kind', '?'):14s} -> {fault.get('target', '?'):20s}"
-                f" {record.get('outcome', '?')}")
-        if rung:
-            line += f" (rung: {rung})"
+    for row in rows:
+        counts[row["actual"]] = counts.get(row["actual"], 0) + 1
+        line = (f"  [{'ok ' if row['ok'] else 'BAD'}] {row['name']:44s} "
+                f"{row['actual']}")
+        if not row["ok"]:
+            line += f" (want {row['expected']})"
+        if row.get("detail"):
+            line += f" — {row['detail']}"
         lines.append(line)
-        skip = record.get("skip")
-        if skip:
-            lines.append(f"      {skip.get('error_type')}: {skip.get('reason')}")
-    summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-    lines.append(f"  -> {summary}")
-    return lines
+    lines.append("  -> " + ", ".join(f"{k}: {v}"
+                                     for k, v in sorted(counts.items())))
+    return "\n".join(lines)
 
 
 def render_failure(obj: PayloadLike) -> str:
@@ -180,5 +202,5 @@ def render_failure(obj: PayloadLike) -> str:
     if kind == "skip_records":
         return "\n".join(_render_skip_records(payload))
     if kind == "chaos_report":
-        return "\n".join(_render_chaos(payload))
+        return render_chaos(payload)
     return json.dumps(payload, indent=2)

@@ -33,14 +33,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
+from ..recovery.forensics import chaos_report, chaos_row
 from .client import ServeClient, ServeResponse
 from .protocol import STATUS_HTTP
 from .server import ServeOptions, ServerHandle
-
-
-def _progress(sink: Optional[Callable[[str], None]], message: str) -> None:
-    if sink is not None:
-        sink(message)
 
 
 def _settle(client: ServeClient, timeout_s: float = 15.0) -> None:
@@ -69,10 +65,24 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
                 seed: int = 2015, workers: int = 0,
                 progress: Optional[Callable[[str], None]] = None,
                 ) -> Dict[str, Any]:
-    """Run the full serve chaos suite; returns a JSON-able report."""
+    """Run the full serve chaos suite.
+
+    Returns a :func:`~repro.recovery.forensics.chaos_report` with one row
+    per phase; ``n_in``/``n_out`` count the requests sent and the
+    terminal responses received across all phases.
+    """
     import random
 
     rng = random.Random(seed)
+    rows: List[Dict[str, Any]] = []
+
+    def phase(name: str, ok: bool, **facts: Any) -> None:
+        detail = ", ".join(f"{k}={v}" for k, v in facts.items())
+        rows.append(chaos_row(name, "pass", "pass" if ok else "fail", ok,
+                              detail))
+        if progress is not None:
+            progress(f"{name}: {detail}")
+
     scratch_dir = Path(scratch)
     scratch_dir.mkdir(parents=True, exist_ok=True)
     journal_path = scratch_dir / "serve-journal.jsonl"
@@ -91,7 +101,6 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
         drain_grace=8.0,
         drain_settle_s=0.1,
     )
-    phases: List[Dict[str, Any]] = []
     sent = 0
     received = 0
 
@@ -125,13 +134,9 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
                        and exec_delta == 1
                        and len(answers) == 1
                        and leaders == 1)
-        phases.append({"name": "coalesce", "ok": coalesce_ok,
-                       "clients": k, "backend_executions": exec_delta,
-                       "distinct_answers": len(answers),
-                       "leaders": leaders})
-        _progress(progress,
-                  f"coalesce: {k} identical clients -> {exec_delta} "
-                  f"backend execution(s)")
+        phase("coalesce", coalesce_ok, clients=k,
+              backend_executions=exec_delta,
+              distinct_answers=len(answers), leaders=leaders)
 
         # -- phase: storm -----------------------------------------------
         exec_before = client.metrics()["backend"]["executions"]
@@ -174,15 +179,10 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
             if p["expect"] is None and r.status == "ok")
         storm_ok = (all_terminal and expected_ok and answers_ok
                     and exec_delta <= len(distinct_keys))
-        phases.append({
-            "name": "storm", "ok": storm_ok, "clients": len(plans),
-            "distinct_keys": len(distinct_keys),
-            "backend_executions": exec_delta,
-            "statuses": _status_counts(responses)})
-        _progress(progress,
-                  f"storm: {len(plans)} mixed clients, "
-                  f"{len(distinct_keys)} distinct keys -> {exec_delta} "
-                  f"executions, statuses {_status_counts(responses)}")
+        phase("storm", storm_ok, clients=len(plans),
+              distinct_keys=len(distinct_keys),
+              backend_executions=exec_delta,
+              statuses=_status_counts(responses))
 
         # -- phase: shed ------------------------------------------------
         flood = options.max_pending_interactive * 2
@@ -205,13 +205,9 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
                    and len(shed) > 0
                    and all(r.code == 429 and r.retry_after_s() is not None
                            and r.retry_after_s() >= 1.0 for r in shed))
-        phases.append({"name": "shed", "ok": shed_ok, "clients": flood,
-                       "shed": len(shed),
-                       "statuses": _status_counts(responses)})
-        _progress(progress,
-                  f"shed: {flood} novel clients against a budget of "
-                  f"{options.max_pending_interactive} -> {len(shed)} shed "
-                  f"with Retry-After")
+        phase("shed", shed_ok, clients=flood,
+              budget=options.max_pending_interactive, shed=len(shed),
+              statuses=_status_counts(responses))
 
         # -- phase: breaker ---------------------------------------------
         healthy = {"params": {"index": 1}}
@@ -255,19 +251,12 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
             and recovered.status == "ok"
             and after.status == "ok"
             and metrics["breaker"]["state"] == "closed")
-        phases.append({
-            "name": "breaker", "ok": breaker_ok,
-            "poison_requests": poison_sent,
-            "state_after_poison": state_tripped,
-            "degraded_status": degraded.status,
-            "novel_while_open": unavailable.status,
-            "state_after_recovery": metrics["breaker"]["state"],
-            "trips": metrics["breaker"]["trips"]})
-        _progress(progress,
-                  f"breaker: {poison_sent} poisoned requests -> "
-                  f"{state_tripped}; degraded={degraded.status}, "
-                  f"novel={unavailable.status}, after cooldown "
-                  f"{metrics['breaker']['state']}")
+        phase("breaker", breaker_ok, poison_requests=poison_sent,
+              state_after_poison=state_tripped,
+              degraded_status=degraded.status,
+              novel_while_open=unavailable.status,
+              state_after_recovery=metrics["breaker"]["state"],
+              trips=metrics["breaker"]["trips"])
 
         # -- phase: drain -----------------------------------------------
         inflight_result: List[ServeResponse] = []
@@ -298,17 +287,11 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
             and len(inflight_result) == 1
             and inflight_result[0].status == "ok"
             and not worker.is_alive())
-        phases.append({
-            "name": "drain", "ok": drain_ok,
-            "readyz_during_drain": readyz.code,
-            "healthz_during_drain": healthz.code,
-            "new_request_during_drain": refused.status,
-            "inflight_status": (inflight_result[0].status
-                                if inflight_result else "lost")})
-        _progress(progress,
-                  f"drain: readyz={readyz.code}, in-flight="
-                  f"{phases[-1]['inflight_status']}, "
-                  f"new={refused.status}")
+        phase("drain", drain_ok, readyz_during_drain=readyz.code,
+              healthz_during_drain=healthz.code,
+              new_request_during_drain=refused.status,
+              inflight_status=(inflight_result[0].status
+                               if inflight_result else "lost"))
     finally:
         handle.stop(hard=True)
         handle.join(timeout=15.0)
@@ -319,24 +302,8 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
     journal = Journal(journal_path)
     records = journal.replay()
     replay_ok = journal_path.exists() and isinstance(records, list)
-    phases.append({"name": "journal", "ok": replay_ok,
-                   "records": len(records)})
-    _progress(progress,
-              f"journal: {len(records)} records replay cleanly")
-
-    conservation_ok = sent == received
-    report = {
-        "kind": "serve_chaos_report",
-        "seed": seed,
-        "workers": workers,
-        "n_clients": n_clients,
-        "requests_sent": sent,
-        "responses_received": received,
-        "conservation_ok": conservation_ok,
-        "phases": phases,
-        "ok": conservation_ok and all(p["ok"] for p in phases),
-    }
-    return report
+    phase("journal", replay_ok, records=len(records))
+    return chaos_report("serve", seed, sent, received, rows)
 
 
 def _status_counts(responses: List[ServeResponse]) -> Dict[str, int]:
@@ -344,20 +311,3 @@ def _status_counts(responses: List[ServeResponse]) -> Dict[str, int]:
     for r in responses:
         counts[r.status] = counts.get(r.status, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def render_serve_chaos(report: Dict[str, Any]) -> str:
-    """Human-readable summary of a serve chaos report."""
-    lines = [
-        "serve chaos report",
-        f"  seed {report['seed']}  workers {report['workers']}  "
-        f"requests {report['requests_sent']} in / "
-        f"{report['responses_received']} out",
-    ]
-    for phase in report["phases"]:
-        flag = "ok " if phase["ok"] else "FAIL"
-        detail = ", ".join(f"{k}={v}" for k, v in phase.items()
-                           if k not in ("name", "ok"))
-        lines.append(f"  [{flag}] {phase['name']:<9} {detail}")
-    lines.append(f"  verdict: {'PASS' if report['ok'] else 'FAIL'}")
-    return "\n".join(lines)

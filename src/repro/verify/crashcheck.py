@@ -27,7 +27,7 @@ lost on power failure (the file's blocks are truncated after the
 rename), data written with ``fsync`` as durable.  This emulates the
 journalled-metadata/unflushed-data state a machine crash leaves behind
 — the standard crash-consistency failure mode — and is labelled
-``emulated`` in the report.
+``emulated`` in the report rows.
 
 The harness fails (exit 1) if a *fixed* pattern loses data **or** a
 *pre-fix* pattern fails to demonstrate its hazard — either direction
@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..exec import atomicio
 from ..exec.journal import Journal
+from ..recovery.forensics import chaos_report, chaos_row
 
 #: Child exit status at an armed crashpoint — distinguishable from a
 #: normal exit (0) and from an import/usage failure (1/2).
@@ -115,11 +116,8 @@ def _classify(target: Path) -> str:
 
 
 def _result(scenario: str, point: str, state: str, expected: str,
-            ok: bool, *, emulated: bool = False,
-            detail: str = "") -> Dict[str, Any]:
-    return {"scenario": scenario, "crashpoint": point, "state": state,
-            "expected": expected, "ok": ok, "emulated": emulated,
-            "detail": detail}
+            ok: bool, detail: str = "") -> Dict[str, Any]:
+    return chaos_row(f"{scenario}@{point}", expected, state, ok, detail)
 
 
 def _check_bare_overwrite(scratch: Path) -> List[Dict[str, Any]]:
@@ -192,54 +190,32 @@ def _disk_model_rename(scratch: Path, *, fsync: bool) -> Dict[str, Any]:
     state = _classify(target)
     expected = "new" if fsync else "torn"
     return _result(name, "post-rename", state, expected,
-                   state == expected, emulated=True,
+                   state == expected,
                    detail="machine-crash page-cache drop (emulated)")
+
+
+def _check_disk_model(scratch: Path) -> List[Dict[str, Any]]:
+    """RV901 both ways: the unsynced rename tears, the synced one holds."""
+    return [_disk_model_rename(scratch, fsync=fsync)
+            for fsync in (False, True)]
 
 
 def run_crashpoints(scratch: Optional[str] = None,
                     progress: Optional[Callable[[str], None]] = None,
                     ) -> Dict[str, Any]:
-    """Run every scenario; return a JSON-ready report.
+    """Run every scenario; return a chaos report, one row per scenario.
 
     ``ok`` is true only when the fixed patterns survive **and** the
     pre-fix patterns demonstrably fail — both directions are asserted.
+    The scenarios draw no random numbers, so the report's seed is None.
     """
     root = Path(scratch or tempfile.mkdtemp(prefix="repro-crashcheck-"))
     root.mkdir(parents=True, exist_ok=True)
-    results: List[Dict[str, Any]] = []
+    rows: List[Dict[str, Any]] = []
     for step in (_check_bare_overwrite, _check_atomic_replace,
-                 _check_journal_append):
-        chunk = step(root)
-        results.extend(chunk)
-        if progress is not None:
-            for entry in chunk:
-                progress(f"  {entry['scenario']}@{entry['crashpoint']}"
-                         f": {entry['state']}")
-    for fsync in (False, True):
-        entry = _disk_model_rename(root, fsync=fsync)
-        results.append(entry)
-        if progress is not None:
-            progress(f"  {entry['scenario']}@{entry['crashpoint']}"
-                     f": {entry['state']}")
-    return {
-        "ok": all(r["ok"] for r in results),
-        "crashpoints": list(atomicio.CRASHPOINTS),
-        "results": results,
-        "scratch": str(root),
-    }
-
-
-def render_crashpoints(report: Dict[str, Any]) -> str:
-    """Human-readable scenario table."""
-    lines = ["crashpoint cross-validation "
-             f"({'PASS' if report['ok'] else 'FAIL'})"]
-    for entry in report["results"]:
-        flag = "ok " if entry["ok"] else "BAD"
-        tag = " [emulated]" if entry.get("emulated") else ""
-        lines.append(
-            f"  {flag} {entry['scenario']:16s} "
-            f"@{entry['crashpoint']:<11s} -> {entry['state']:<10s} "
-            f"(want {entry['expected']}){tag}")
-    lines.append(
-        "  pre-fix patterns must tear; atomicio/journal must not")
-    return "\n".join(lines)
+                 _check_journal_append, _check_disk_model):
+        for row in step(root):
+            rows.append(row)
+            if progress is not None:
+                progress(f"  {row['name']}: {row['actual']}")
+    return chaos_report("crashpoints", None, len(rows), len(rows), rows)

@@ -1,11 +1,10 @@
 """Generic netlist-hygiene rules (RV0xx).
 
-These are the five checks of the seed linter
-(:mod:`repro.circuit.lint`), migrated onto the rule registry, plus the
-compile gate.  The voltage-source topology checks now operate on the
-*multigraph* directly, fixing the seed bug where two distinct sources
-between the same node pair collapsed into one edge and their loops with
-a third path went unreported.
+These are the five checks of the seed's netlist linter, migrated onto
+the rule registry, plus the compile gate.  The voltage-source topology
+checks now operate on the *multigraph* directly, fixing the seed bug
+where two distinct sources between the same node pair collapsed into
+one edge and their loops with a third path went unreported.
 """
 
 from __future__ import annotations

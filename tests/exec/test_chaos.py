@@ -7,8 +7,8 @@ from repro.recovery.faults import (
     EXEC_FAULT_KINDS,
     build_executor_chaos_campaign,
     chaos_executor,
-    render_exec_chaos,
 )
+from repro.recovery.forensics import render_chaos
 
 #: Fault kinds that are safe to execute inline (no worker to sacrifice:
 #: a crash fault would take the test process down with it).
@@ -38,15 +38,16 @@ class TestInlineChaos:
         """The inline-safe slice of the matrix, cheap enough for tier 1."""
         report = chaos_executor(tmp_path, n_healthy=2, workers=0,
                                 kinds=INLINE_SAFE, task_timeout=None)
-        assert report["ok"], render_exec_chaos(report)
+        assert report["ok"], render_chaos(report)
         assert report["n_in"] == report["n_out"] == len(INLINE_SAFE) + 2
-        assert report["counts"]["skipped"] == 1       # conv_skip
-        assert report["counts"]["quarantined"] == 1   # task_error
+        actual = [row["actual"] for row in report["rows"]]
+        assert actual.count("skipped") == 1       # conv_skip
+        assert actual.count("quarantined") == 1   # task_error
 
     def test_render_mentions_verdict(self, tmp_path):
         report = chaos_executor(tmp_path, n_healthy=1, workers=0,
                                 kinds=("conv_skip",), task_timeout=None)
-        text = render_exec_chaos(report)
+        text = render_chaos(report)
         assert "PASS" in text
         assert "conv_skip" in text
 
@@ -57,12 +58,12 @@ class TestFullChaosMatrix:
         """The full matrix: crash, hang, slow, flaky, poison, skip."""
         report = chaos_executor(tmp_path, n_healthy=2, workers=2,
                                 task_timeout=5.0, max_retries=1)
-        assert report["ok"], render_exec_chaos(report)
+        assert report["ok"], render_chaos(report)
         n = len(EXEC_FAULT_KINDS) + 2
         assert report["n_in"] == report["n_out"] == n
-        by_label = {row["label"]: row for row in report["rows"]}
-        assert by_label["fault:flaky_crash"]["attempts"] >= 2
-        assert by_label["fault:worker_hang"]["actual"] == "quarantined"
+        by_name = {row["name"]: row for row in report["rows"]}
+        assert by_name["fault:flaky_crash"]["detail"] == "2 attempt(s)"
+        assert by_name["fault:worker_hang"]["actual"] == "quarantined"
 
     def test_journalled_chaos_resumes(self, tmp_path):
         """A second run over the same journal replays every verdict."""
@@ -75,4 +76,5 @@ class TestFullChaosMatrix:
                                task_timeout=5.0, max_retries=1,
                                journal=journal)
         assert again["ok"]
-        assert again["counts"] == first["counts"]
+        assert ([row["actual"] for row in again["rows"]]
+                == [row["actual"] for row in first["rows"]])

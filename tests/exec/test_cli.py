@@ -120,7 +120,8 @@ class TestChaosExecutorCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["kind"] == "exec_chaos_report"
+        assert report["kind"] == "chaos_report"
+        assert report["suite"] == "executor"
         assert report["ok"] is True
 
 

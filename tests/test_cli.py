@@ -166,9 +166,56 @@ class TestChaosCommand:
         capsys.readouterr()
         payload = json.loads(report.read_text())
         assert payload["kind"] == "chaos_report"
-        assert len(payload["records"]) == 2
+        assert len(payload["rows"]) == 2
         assert main(["diagnose", str(report)]) == 0
         assert "chaos" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("flags, suite", [
+        (["--target", "6t", "--faults", "2"], "dc:6t"),
+        (["--transient", "--faults", "1"], "transient:nv"),
+        (["--executor", "--faults", "1"], "executor"),
+        (["--serve", "--clients", "8"], "serve"),
+        (["--crashpoints"], "crashpoints"),
+    ])
+    def test_every_suite_report_renders_through_diagnose(
+            self, flags, suite, tmp_path, capsys, monkeypatch):
+        """One report shape: every suite's --json dump is rendered by
+        ``repro diagnose`` exactly as ``repro chaos`` printed it."""
+        import repro.recovery.faults as faults
+
+        real = faults.chaos_executor
+
+        def inline_only(scratch, **kwargs):
+            # The process-killing faults belong to the stress job.
+            kwargs.update(workers=0, task_timeout=None,
+                          kinds=("task_error", "conv_skip"))
+            return real(scratch, **kwargs)
+
+        monkeypatch.setattr(faults, "chaos_executor", inline_only)
+        path = tmp_path / "report.json"
+        assert main(["chaos", *flags, "--scratch", str(tmp_path / "s"),
+                     "--json", str(path)]) == 0
+        printed = capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"kind", "suite", "seed", "n_in", "n_out",
+                                "ok", "rows"}
+        assert payload["kind"] == "chaos_report"
+        assert payload["suite"] == suite
+        assert payload["ok"] is True
+        assert payload["rows"]
+        for row in payload["rows"]:
+            assert set(row) == {"name", "expected", "actual", "ok",
+                                "detail"}
+        assert main(["diagnose", str(path)]) == 0
+        rendered = capsys.readouterr().out.strip()
+        assert rendered.startswith(f"chaos report: {suite}")
+        assert rendered in printed
+
+    def test_two_suite_flags_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["chaos", "--executor", "--crashpoints"])
+        assert info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestLintCommand:

@@ -36,7 +36,7 @@ TOP_LEVEL_EXPORTS = [
 ]
 
 SUBPACKAGE_EXPORTS = {
-    "repro.circuit": ["Sine", "Exponential", "lint", "SubCircuit"],
+    "repro.circuit": ["Sine", "Exponential", "SubCircuit"],
     "repro.analysis": ["ac_analysis", "TransientOptions"],
     "repro.cells": ["add_nvff", "add_senseamp", "add_inverter"],
     "repro.pg": [

@@ -8,29 +8,30 @@ from repro.cli import main
 from repro.verify.crashcheck import (
     CRASH_EXIT,
     _classify,
-    render_crashpoints,
     run_crashpoints,
 )
+from repro.recovery.forensics import render_chaos
 
 
 def by_scenario(report):
     out = {}
-    for entry in report["results"]:
-        out.setdefault(entry["scenario"], []).append(entry)
+    for row in report["rows"]:
+        scenario, point = row["name"].split("@")
+        out.setdefault(scenario, []).append(dict(row, crashpoint=point))
     return out
 
 
 def test_full_run_passes(tmp_path):
     report = run_crashpoints(str(tmp_path))
-    assert report["ok"], render_crashpoints(report)
+    assert report["ok"], render_chaos(report)
     scenarios = by_scenario(report)
 
     # RV900 hazard demonstrated: the bare overwrite really tears.
     (bare,) = scenarios["bare-overwrite"]
-    assert bare["state"] == "torn"
+    assert bare["actual"] == "torn"
 
     # The fixed pattern holds old-or-new at all four boundaries.
-    atomic = {e["crashpoint"]: e["state"]
+    atomic = {e["crashpoint"]: e["actual"]
               for e in scenarios["atomic-replace"]}
     assert atomic == {"post-write": "old", "pre-fsync": "old",
                       "pre-rename": "old", "post-rename": "new"}
@@ -38,12 +39,12 @@ def test_full_run_passes(tmp_path):
     # RV901 hazard (emulated page-cache drop) and its fsync cure.
     (nofsync,) = scenarios["nofsync-rename"]
     (fsync,) = scenarios["fsync-rename"]
-    assert nofsync["state"] == "torn" and nofsync["emulated"]
-    assert fsync["state"] == "new"
+    assert nofsync["actual"] == "torn" and "emulated" in nofsync["detail"]
+    assert fsync["actual"] == "new"
 
     # Journal: a torn append costs at most the torn record.
     (journal,) = scenarios["journal-append"]
-    assert journal["state"] == "2 records"
+    assert journal["actual"] == "2 records"
 
 
 def test_children_died_at_armed_points(tmp_path):
@@ -51,8 +52,8 @@ def test_children_died_at_armed_points(tmp_path):
     # Every subprocess scenario reports ok, which requires the child
     # to have exited with CRASH_EXIT, not completed normally.
     assert CRASH_EXIT == 9
-    assert all(entry["ok"] for entry in report["results"]
-               if not entry["emulated"])
+    assert all(row["ok"] for row in report["rows"]
+               if "emulated" not in row["detail"])
 
 
 def test_classify_views(tmp_path):
@@ -70,8 +71,10 @@ def test_cli_chaos_crashpoints(tmp_path, capsys):
                  "--scratch", str(tmp_path / "scratch"),
                  "--json", str(out_json)])
     assert code == 0
-    assert "crashpoint cross-validation (PASS)" in capsys.readouterr().out
+    assert "chaos report: crashpoints" in capsys.readouterr().out
     payload = json.loads(out_json.read_text())
     assert payload["ok"] is True
-    assert payload["crashpoints"] == ["post-write", "pre-fsync",
-                                      "pre-rename", "post-rename"]
+    assert [row["name"] for row in payload["rows"]
+            if row["name"].startswith("atomic-replace@")] == [
+        "atomic-replace@post-write", "atomic-replace@pre-fsync",
+        "atomic-replace@pre-rename", "atomic-replace@post-rename"]

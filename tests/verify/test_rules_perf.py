@@ -19,7 +19,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 HAND_AUDITED_STAMP_LOOPS = {
     ("analysis/ac.py", 118),       # element.stamp() over the netlist
     ("analysis/ac.py", 132),       # per-capacitor conductance stamps
-    ("analysis/dc.py", 135),       # clamp stamper in _make_clamp_stamper
+    ("analysis/dc.py", 126),       # clamp stamper in _make_clamp_stamper
     ("analysis/mna.py", 61),       # vccs quad fill
     ("analysis/solver.py", 87),    # _restamp element.stamp() loop
     ("devices/finfet.py", 264),    # FinFET 4x4 Jacobian entry fill
